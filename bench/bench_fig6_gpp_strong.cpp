@@ -44,7 +44,7 @@ void measured_part(Suite& suite) {
       std::vector<SigmaParts> out;
       Stopwatch sw;
       kernel.compute(m_ln, wf.energy, wf.n_valence, evals, out,
-                     GppKernelVariant::kOptimized, nullptr, dist.begin(r),
+                     GppKernelVariant::kOptimized, dist.begin(r),
                      dist.end(r));
       t_max = std::max(t_max, sw.elapsed());
     }

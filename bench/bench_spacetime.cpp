@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/flops.h"
 #include "common/timer.h"
 #include "core/sigma_ff.h"
 #include "core/sigma_st.h"
 #include "mf/epm.h"
+#include "obs/trace.h"
 
 using namespace xgw;
 using namespace xgw::bench;
@@ -43,6 +43,13 @@ int main() {
   // all N_v x N_c pairs, 4 * N_G * (N_G + 1) * (N_v N_c) FLOPs. Both
   // routes pay exactly this per grid point, so the route cost ratio is the
   // grid-size ratio — the whole point of the space-time method.
+  //
+  // measured_flops is every FLOP the kernels attribute through obs while a
+  // route runs (recorder totals include worker-thread orphans, so the count
+  // is exact at any thread or worker count). Only chi's rank-k updates and,
+  // on the space-time route, the Sigma(i tau) batched GEMMs attribute; the
+  // LU-based eps^{-1}, MTXEL and transforms do not.
+  auto& rec = obs::recorder();
   const double chi_point_flops = 4.0 * static_cast<double>(ng) *
                                  static_cast<double>(ng + 1) *
                                  static_cast<double>(nv) *
@@ -50,16 +57,17 @@ int main() {
 
   section("space-time route (minimax i tau / i omega)");
   const idx n_tau = 14;
-  FlopCounter st_flops;
   StOptions so;
   so.n_tau = n_tau;
-  so.chi.flops = &st_flops;
+  rec.enable();
   Stopwatch sw;
   const StScreening scr = build_st_screening(gw, so);
   const double t_st_screen = sw.elapsed();
   sw.reset();
   const auto st = sigma_st_diag(gw, scr, bands, so);
   const double t_st_sigma = sw.elapsed();
+  rec.disable();
+  const std::uint64_t st_flops = rec.total_flops();
   const double t_st = t_st_screen + t_st_sigma;
   std::printf(
       "n_tau=%lld  tau_batches=%lld  fit_err=%.2e  screen=%.3f s  "
@@ -74,7 +82,7 @@ int main() {
       .counter("chi_grid_points", static_cast<double>(scr.n_tau))
       .counter("chi_model_flops",
                chi_point_flops * static_cast<double>(scr.n_tau))
-      .counter("measured_flops", static_cast<double>(st_flops.total()))
+      .counter("measured_flops", static_cast<double>(st_flops))
       .value("seconds", t_st)
       .value("screen_seconds", t_st_screen)
       .value("sigma_seconds", t_st_sigma)
@@ -85,14 +93,15 @@ int main() {
            "max |dE_QP| (eV)"});
   double crossover_nfreq = 0.0;
   for (idx nf : {idx{24}, idx{48}, idx{96}}) {
-    FlopCounter ff_flops;
     FfOptions fo;
     fo.n_freq = nf;
-    fo.chi.flops = &ff_flops;
+    rec.enable();
     sw.reset();
     const FfScreening fscr = build_ff_screening(gw, fo);
+    rec.disable();
     const auto ff = sigma_ff_diag(gw, fscr, bands);
     const double t_ff = sw.elapsed();
+    const std::uint64_t ff_flops = rec.total_flops();
 
     double dqp = 0.0;
     for (std::size_t i = 0; i < ff.size(); ++i)
@@ -109,7 +118,7 @@ int main() {
         .counter("chi_grid_points", static_cast<double>(nf))
         .counter("chi_model_flops",
                  chi_point_flops * static_cast<double>(nf))
-        .counter("measured_flops", static_cast<double>(ff_flops.total()))
+        .counter("measured_flops", static_cast<double>(ff_flops))
         .value("seconds", t_ff)
         .value("slowdown_vs_spacetime", t_ff / t_st)
         .value("max_qp_diff_ev", dqp * kHartreeToEv);

@@ -596,11 +596,11 @@ int run_job(const InputFile& in, std::ostream& os) {
     obs::RunReportDoc doc = obs::build_run_report(
         obs::recorder(), job, canonical_config(in), peak, bw);
     if (peak > 0.0 && bw > 0.0) {
-      // Stamp the packed split-GEMM engine ceiling (K = one KC block with
-      // the default panel reuse) next to the measured stage rates.
+      // Stamp the GEMM engine ceiling (K = one KC block with the default
+      // panel reuse) next to the measured stage rates.
       const KernelRoofline kr =
-          split_gemm_roofline(peak * 1e9, bw * 1e9, gemm_tiling().kc);
-      doc.split_gemm_roofline_gflops = kr.attainable_flops / 1e9;
+          gemm_roofline(peak * 1e9, bw * 1e9, gemm_v3_active_config().kc);
+      doc.gemm_roofline_gflops = kr.attainable_flops / 1e9;
     }
     XGW_REQUIRE(doc.write(report_path),
                 "run_job: cannot write run report to " + report_path);

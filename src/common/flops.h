@@ -7,53 +7,13 @@
 // (alpha * N_Sigma * N_b * N_G^2 * N_E) and Eq. 8 for the off-diagonal
 // ZGEMM recast (2 N_b N_E * 8 (N_Sigma N_G^2 + N_G N_Sigma^2)). xgw carries
 // both an *estimated* count (those closed forms) and a *measured* count
-// (kernels increment counters as they execute), so Table 3's Est./Meas.
-// accuracy comparison can be reproduced directly.
-
-#include <atomic>
-#include <cassert>
-#include <cstdint>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+// (kernels attribute their FLOPs to obs spans as they execute — see
+// obs/span.h), so Table 3's Est./Meas. accuracy comparison can be
+// reproduced directly.
 
 #include "common/types.h"
 
 namespace xgw {
-
-/// Thread-safe FLOP counter: kernels accumulate locally and add once per
-/// call (so contention stays negligible), but those adds may come from
-/// concurrent threads — e.g. the frequency-parallel CHI-Freq loop — hence
-/// the relaxed atomic.
-///
-/// Per-span attribution (obs/span.h) supersedes this single process-wide
-/// sum for profiling; the counter remains the cross-check reference: the
-/// sum of span-attributed FLOPs must equal total() exactly.
-class FlopCounter {
- public:
-  void add(std::uint64_t flops) {
-    flops_.fetch_add(flops, std::memory_order_relaxed);
-  }
-  std::uint64_t total() const { return flops_.load(std::memory_order_relaxed); }
-
-  /// QUIESCENCE REQUIRED: reset() is not linearizable against concurrent
-  /// add() — a reset between a worker's accumulate and the reader's
-  /// total() silently loses counts (observed with the frequency-parallel
-  /// chi_multi loop). Only call it while no kernel that feeds this counter
-  /// is in flight; debug builds assert the caller is not inside an active
-  /// OpenMP parallel region as a cheap proxy for that contract.
-  void reset() {
-#if !defined(NDEBUG) && defined(_OPENMP)
-    assert(omp_in_parallel() == 0 &&
-           "FlopCounter::reset requires quiescence (no concurrent add)");
-#endif
-    flops_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> flops_{0};
-};
 
 /// Canonical FLOP-count estimates from the paper.
 namespace flop_model {

@@ -111,7 +111,7 @@ std::vector<ZMatrix> chi_multi(const Mtxel& mtxel, const Wavefunctions& wf,
         batch.push_back({&m, &m_block, dv * nc});
       }
       zgemm_batch(Op::kNone, Op::kNone, cplx{1.0, 0.0}, batch, *project,
-                  cplx{}, opt.flops);
+                  cplx{});
     } else {
       for (idx dv = 0; dv < vb; ++dv) {
         ZMatrix& m = m_pw.front();
@@ -168,11 +168,10 @@ std::vector<ZMatrix> chi_multi(const Mtxel& mtxel, const Wavefunctions& wf,
         }
         if (opt.imaginary_axis || omega == 0.0) {
           zherk_update(m_block, scaled, chi[static_cast<std::size_t>(k)],
-                       opt.gemm, opt.flops);
+                       opt.gemm);
         } else {
           zgemm(Op::kConjTrans, Op::kNone, cplx{1.0, 0.0}, m_block, scaled,
-                cplx{1.0, 0.0}, chi[static_cast<std::size_t>(k)], opt.gemm,
-                opt.flops);
+                cplx{1.0, 0.0}, chi[static_cast<std::size_t>(k)], opt.gemm);
         }
       }
     }

@@ -20,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "common/flops.h"
 #include "core/mtxel.h"
 #include "la/gemm.h"
 
@@ -40,7 +39,6 @@ struct ChiOptions {
   double eta = 1e-3;            ///< broadening (Hartree)
   idx nv_block = 8;             ///< NV-Block size (valence bands per block)
   GemmVariant gemm = GemmVariant::kAuto;
-  FlopCounter* flops = nullptr; ///< optional FLOP accounting
   /// q->0 head value to install (see chi_head_value). M(G=0) vanishes by
   /// orthogonality at Gamma, so without this the supercell has no
   /// macroscopic screening; the standard fix evaluates the head from

@@ -113,8 +113,8 @@ void GppDiagKernel::compute(const ZMatrix& m_ln,
                             std::span<const double> band_energy, idx n_valence,
                             std::span<const double> e_values,
                             std::vector<SigmaParts>& out,
-                            GppKernelVariant variant, FlopCounter* flops,
-                            idx gprime_begin, idx gprime_end) const {
+                            GppKernelVariant variant, idx gprime_begin,
+                            idx gprime_end) const {
   const idx nb = m_ln.rows();
   const idx ng = m_ln.cols();
   XGW_REQUIRE(ng == model_.n_g(), "GppDiagKernel: N_G mismatch");
@@ -256,7 +256,6 @@ void GppDiagKernel::compute(const ZMatrix& m_ln,
     out[static_cast<std::size_t>(ie)].ch = acc_ch;
   }
   obs::attribute_flops(local_flops);
-  if (flops != nullptr) flops->add(local_flops);
 }
 
 GppOffdiagKernel::GppOffdiagKernel(const GppModel& model,
@@ -296,8 +295,7 @@ void GppOffdiagKernel::build_p_matrix(double de, bool occupied,
 
 std::vector<ZMatrix> GppOffdiagKernel::compute(
     const std::vector<ZMatrix>& m_all, std::span<const double> band_energy,
-    idx n_valence, std::span<const double> e_grid, GemmVariant gemm,
-    FlopCounter* flops) const {
+    idx n_valence, std::span<const double> e_grid, GemmVariant gemm) const {
   const idx nb = static_cast<idx>(m_all.size());
   XGW_REQUIRE(nb >= 1, "GppOffdiagKernel: empty band set");
   XGW_REQUIRE(static_cast<idx>(band_energy.size()) == nb,
@@ -330,10 +328,9 @@ std::vector<ZMatrix> GppOffdiagKernel::compute(
       // Sigma_lm += sum_GG' conj(M_ln(G)) P_GG' M_mn(G'):
       //   T = conj(M) P           (N_Sigma x N_G x N_G)
       //   Sigma += T M^T          (N_Sigma x N_G x N_Sigma)
-      zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, p, cplx{}, t, gemm,
-            flops);
+      zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, mc, p, cplx{}, t, gemm);
       zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{1.0, 0.0},
-            sigma[static_cast<std::size_t>(ie)], gemm, flops);
+            sigma[static_cast<std::size_t>(ie)], gemm);
     }
   }
   return sigma;
@@ -342,8 +339,7 @@ std::vector<ZMatrix> GppOffdiagKernel::compute(
 std::vector<ZMatrix> GppOffdiagKernel::compute_perturbed(
     const std::vector<ZMatrix>& m_all, const std::vector<ZMatrix>& dm_all,
     std::span<const double> band_energy, idx n_valence,
-    std::span<const double> e_grid, GemmVariant gemm,
-    FlopCounter* flops) const {
+    std::span<const double> e_grid, GemmVariant gemm) const {
   const idx nb = static_cast<idx>(m_all.size());
   XGW_REQUIRE(nb >= 1 && dm_all.size() == m_all.size(),
               "compute_perturbed: M / dM band count mismatch");
@@ -384,12 +380,11 @@ std::vector<ZMatrix> GppOffdiagKernel::compute_perturbed(
       ZMatrix& out = dsigma[static_cast<std::size_t>(ie)];
       // T = conj(dM) P and T2 = conj(M) P as one batch sharing P; the
       // rank-updates into out keep the original accumulation order.
-      zgemm_batch(Op::kNone, Op::kNone, cplx{1.0, 0.0}, stage1, p, cplx{},
-                  flops);
+      zgemm_batch(Op::kNone, Op::kNone, cplx{1.0, 0.0}, stage1, p, cplx{});
       zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t, m_n, cplx{1.0, 0.0},
-            out, gemm, flops);
+            out, gemm);
       zgemm(Op::kNone, Op::kTrans, cplx{1.0, 0.0}, t2, dm_n, cplx{1.0, 0.0},
-            out, gemm, flops);
+            out, gemm);
     }
   }
   return dsigma;

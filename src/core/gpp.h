@@ -31,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "common/flops.h"
 #include "core/coulomb.h"
 #include "la/gemm.h"
 #include "mf/wavefunctions.h"
@@ -84,8 +83,7 @@ class GppDiagKernel {
                idx n_valence, std::span<const double> e_values,
                std::vector<SigmaParts>& out,
                GppKernelVariant variant = GppKernelVariant::kOptimized,
-               FlopCounter* flops = nullptr, idx gprime_begin = 0,
-               idx gprime_end = -1) const;
+               idx gprime_begin = 0, idx gprime_end = -1) const;
 
  private:
   const GppModel& model_;
@@ -101,12 +99,11 @@ class GppOffdiagKernel {
 
   /// m_all[n] is the N_Sigma x N_G matrix of M_{l n}(G), l over the external
   /// set. Returns sigma[e] as an N_Sigma x N_Sigma matrix per energy grid
-  /// point. Only ZGEMM FLOPs are added to `flops` (Eq. 8 convention).
+  /// point. Only the ZGEMMs attribute FLOPs (Eq. 8 convention).
   std::vector<ZMatrix> compute(const std::vector<ZMatrix>& m_all,
                                std::span<const double> band_energy,
                                idx n_valence, std::span<const double> e_grid,
-                               GemmVariant gemm = GemmVariant::kAuto,
-                               FlopCounter* flops = nullptr) const;
+                               GemmVariant gemm = GemmVariant::kAuto) const;
 
   /// GWPT variant (Eq. 5): dSigma_lm(E_i) from the perturbed matrix
   /// elements, contracting dM x M + M x dM against the same P matrices:
@@ -115,8 +112,7 @@ class GppOffdiagKernel {
       const std::vector<ZMatrix>& m_all, const std::vector<ZMatrix>& dm_all,
       std::span<const double> band_energy, idx n_valence,
       std::span<const double> e_grid,
-      GemmVariant gemm = GemmVariant::kAuto,
-      FlopCounter* flops = nullptr) const;
+      GemmVariant gemm = GemmVariant::kAuto) const;
 
   /// Prep step exposed for benchmarking: P^{(n,E)}_GG' (including v(G')).
   void build_p_matrix(double e_minus_en, bool occupied, ZMatrix& p) const;

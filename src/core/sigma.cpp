@@ -167,8 +167,7 @@ QpSolve solve_qp_linear(double e_mf, std::span<const double> e_samples,
 
 std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
                                                 idx n_e_points, double e_step,
-                                                GppKernelVariant variant,
-                                                FlopCounter* flops) {
+                                                GppKernelVariant variant) {
   XGW_REQUIRE(n_e_points >= 1, "sigma_diag: need at least one energy point");
   const Wavefunctions& wf = wavefunctions();
   const GppDiagKernel kernel(gpp(), coulomb_);
@@ -207,8 +206,7 @@ std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
     std::vector<SigmaParts> parts;
     {
       obs::Span scope(timers_,"gpp_diag_kernel");
-      kernel.compute(m_ln, wf.energy, wf.n_valence, e_vals, parts, variant,
-                     flops);
+      kernel.compute(m_ln, wf.energy, wf.n_valence, e_vals, parts, variant);
     }
 
     std::vector<cplx> totals(parts.size());
@@ -230,12 +228,10 @@ std::vector<QpResult> GwCalculation::sigma_diag(const std::vector<idx>& bands,
   // Bands write disjoint result slots and the GPP kernel's two-stage
   // reduction is thread-count invariant, so the band loop runs as
   // scheduler tasks when workers are available (kernel construction above
-  // already primed every lazy cache). The shared FlopCounter is the one
-  // non-disjoint accumulator — callers that count FLOPs get the serial
-  // loop.
+  // already primed every lazy cache).
   const int workers = sched::Executor::default_workers();
   const idx nb = static_cast<idx>(bands.size());
-  if (workers > 1 && nb > 1 && flops == nullptr) {
+  if (workers > 1 && nb > 1) {
     sched::run_items(nb, compute_band, workers, "sigma.band");
   } else {
     for (idx bi = 0; bi < nb; ++bi) compute_band(bi);
@@ -344,8 +340,7 @@ std::vector<QpResult> GwCalculation::sigma_diag_checkpointed(
 std::vector<ZMatrix> GwCalculation::sigma_offdiag(const std::vector<idx>& bands,
                                                   idx n_e_points,
                                                   std::vector<double>& e_grid_out,
-                                                  GemmVariant gemm,
-                                                  FlopCounter* flops) {
+                                                  GemmVariant gemm) {
   XGW_REQUIRE(!bands.empty(), "sigma_offdiag: empty band set");
   XGW_REQUIRE(n_e_points >= 1, "sigma_offdiag: need energy grid points");
   const Wavefunctions& wf = wavefunctions();
@@ -380,8 +375,7 @@ std::vector<ZMatrix> GwCalculation::sigma_offdiag(const std::vector<idx>& bands,
 
   const GppOffdiagKernel kernel(gpp(), coulomb_);
   obs::Span scope(timers_,"gpp_offdiag_kernel");
-  return kernel.compute(m_all, wf.energy, wf.n_valence, e_grid_out, gemm,
-                        flops);
+  return kernel.compute(m_all, wf.energy, wf.n_valence, e_grid_out, gemm);
 }
 
 std::vector<double> GwCalculation::dyson_full_solve(const std::vector<idx>& bands,

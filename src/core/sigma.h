@@ -132,8 +132,7 @@ class GwCalculation {
   /// energy dependence (the N_E of Eq. 7).
   std::vector<QpResult> sigma_diag(
       const std::vector<idx>& bands, idx n_e_points = 3, double e_step = 0.02,
-      GppKernelVariant variant = GppKernelVariant::kOptimized,
-      FlopCounter* flops = nullptr);
+      GppKernelVariant variant = GppKernelVariant::kOptimized);
 
   /// Checkpoint/restart policy for the sigma band loop.
   struct CheckpointOptions {
@@ -156,12 +155,12 @@ class GwCalculation {
   /// Full Sigma_lm(E_i) matrices on a uniform grid spanning the external
   /// bands' energy window (GPP off-diag kernel, Sec. 5.6). Returns one
   /// N_Sigma x N_Sigma matrix per grid energy; `e_grid_out` receives the
-  /// grid. Eq. 8 ZGEMM-only FLOPs are added to `flops`.
+  /// grid. Only the Eq. 8 ZGEMMs attribute FLOPs, under the
+  /// gpp_offdiag_kernel span.
   std::vector<ZMatrix> sigma_offdiag(const std::vector<idx>& bands,
                                      idx n_e_points,
                                      std::vector<double>& e_grid_out,
-                                     GemmVariant gemm = GemmVariant::kAuto,
-                                     FlopCounter* flops = nullptr);
+                                     GemmVariant gemm = GemmVariant::kAuto);
 
   /// Full solution of Dyson's equation from the off-diagonal Sigma: builds
   /// H^QP(E) = diag(E_MF) + Sigma(E) on the grid, diagonalizes at each grid

@@ -93,7 +93,6 @@ std::vector<ZMatrix> sigma_ff_offdiag(GwCalculation& gw,
                                       const std::vector<idx>& bands,
                                       std::span<const double> e_grid,
                                       double eta = 0.02,
-                                      FlopCounter* flops = nullptr,
                                       idx gprime_slice = 0);
 
 }  // namespace xgw

@@ -222,14 +222,12 @@ std::vector<StResult> sigma_st_diag(GwCalculation& gw, const StScreening& scr,
       items.reserve(static_cast<std::size_t>(n));
       for (idx j = 0; j < n; ++j)
         items.push_back({&scr.wtau.get(j), &t[static_cast<std::size_t>(j)], 0});
-      zgemm_batch(Op::kTrans, Op::kTrans, cplx{1.0, 0.0}, items, mc, cplx{},
-                  opt.chi.flops);
+      zgemm_batch(Op::kTrans, Op::kTrans, cplx{1.0, 0.0}, items, mc, cplx{});
     } else {
       for (idx j = 0; j < n; ++j) {
         std::vector<GemmBatchItem> one = {
             {&scr.wtau.get(j), &t[static_cast<std::size_t>(j)], 0}};
-        zgemm_batch(Op::kTrans, Op::kTrans, cplx{1.0, 0.0}, one, mc, cplx{},
-                    opt.chi.flops);
+        zgemm_batch(Op::kTrans, Op::kTrans, cplx{1.0, 0.0}, one, mc, cplx{});
       }
     }
 

@@ -27,8 +27,7 @@ ZMatrix GwptCalculation::dm_matrix(const std::vector<idx>& ext, idx n,
 }
 
 GwptResult GwptCalculation::run_perturbation(const Perturbation& p,
-                                             const std::vector<idx>& bands,
-                                             FlopCounter* flops) {
+                                             const std::vector<idx>& bands) {
   XGW_REQUIRE(!bands.empty(), "gwpt: empty band set");
   const Wavefunctions& wf = gw_.wavefunctions();
   const idx ns = static_cast<idx>(bands.size());
@@ -118,8 +117,7 @@ GwptResult GwptCalculation::run_perturbation(const Perturbation& p,
     obs::Span scope(gw_.timers(),"gwpt_gpp_kernel");
     const GppOffdiagKernel kernel(gw_.gpp(), gw_.coulomb());
     res.dsigma = kernel.compute_perturbed(m_all, dm_all, wf.energy,
-                                          wf.n_valence, res.e_grid, opt_.gemm,
-                                          flops);
+                                          wf.n_valence, res.e_grid, opt_.gemm);
   }
 
   // g_GW at the middle grid energy.
@@ -131,11 +129,10 @@ GwptResult GwptCalculation::run_perturbation(const Perturbation& p,
 }
 
 std::vector<GwptResult> GwptCalculation::run_all(
-    const std::vector<Perturbation>& ps, const std::vector<idx>& bands,
-    FlopCounter* flops) {
+    const std::vector<Perturbation>& ps, const std::vector<idx>& bands) {
   std::vector<GwptResult> out;
   out.reserve(ps.size());
-  for (const Perturbation& p : ps) out.push_back(run_perturbation(p, bands, flops));
+  for (const Perturbation& p : ps) out.push_back(run_perturbation(p, bands));
   return out;
 }
 

@@ -42,14 +42,12 @@ class GwptCalculation {
 
   /// Runs one perturbation (atom, axis) for the external band set.
   GwptResult run_perturbation(const Perturbation& p,
-                              const std::vector<idx>& bands,
-                              FlopCounter* flops = nullptr);
+                              const std::vector<idx>& bands);
 
   /// Runs all 3 * n_atoms displacement perturbations (or a subset) —
   /// the paper's N_p loop.
   std::vector<GwptResult> run_all(const std::vector<Perturbation>& ps,
-                                  const std::vector<idx>& bands,
-                                  FlopCounter* flops = nullptr);
+                                  const std::vector<idx>& bands);
 
   /// dM_{l n}(G) for fixed n over the external set, given d psi rows.
   /// Reference path (3 FFTs per element via compute_pair_raw);

@@ -57,7 +57,7 @@ struct AutotuneOptions {
   idx sweep_n = 160;       ///< synthetic m=n=k problem size for the sweep
 };
 
-/// Static per-ISA defaults (first kernel candidate, gen-2 cache tiles);
+/// Static per-ISA defaults (first kernel candidate, 64/128/256 cache tiles);
 /// what XGW_AUTOTUNE=off uses and what damaged-probe paths fall back to.
 AutotuneResult default_autotune(SimdIsa isa);
 

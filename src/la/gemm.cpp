@@ -1,6 +1,5 @@
 #include "la/gemm.h"
 
-#include <cstdlib>
 #include <vector>
 
 #ifdef _OPENMP
@@ -8,6 +7,7 @@
 #endif
 
 #include "common/concurrency.h"
+#include "common/flops.h"
 #include "la/autotune.h"
 #include "la/microkernel.h"
 #include "obs/metrics.h"
@@ -20,13 +20,21 @@ namespace {
 const char* variant_name(GemmVariant v) {
   switch (v) {
     case GemmVariant::kReference: return "reference";
-    case GemmVariant::kBlocked: return "blocked";
-    case GemmVariant::kSplit: return "split";
     case GemmVariant::kSimd: return "simd";
     case GemmVariant::kParallel: return "parallel";
     case GemmVariant::kAuto: return "auto";
   }
   return "?";
+}
+
+// Engine configuration args of a GEMM dispatch span: the micro-kernel and
+// cache tiles that actually ran.
+void engine_args(obs::Span& span, const GemmV3Config& cfg) {
+  span.arg("isa", la::simd_isa_name(cfg.isa));
+  span.arg("mr", static_cast<long long>(cfg.mr));
+  span.arg("nr", static_cast<long long>(cfg.nr));
+  span.arg("kc", static_cast<long long>(cfg.kc));
+  span.arg("nc", static_cast<long long>(cfg.nc));
 }
 
 }  // namespace
@@ -47,13 +55,7 @@ bool in_parallel_region() {
 
 int xgw_num_threads() {
 #ifdef _OPENMP
-  // The env override is read once; the OpenMP default is queried live so
-  // omp_set_num_threads() keeps working as expected.
-  static const int env_threads = [] {
-    const char* env = std::getenv("XGW_NUM_THREADS");
-    return env != nullptr ? std::atoi(env) : 0;
-  }();
-  return env_threads > 0 ? env_threads : omp_get_max_threads();
+  return omp_get_max_threads();
 #else
   return 1;
 #endif
@@ -84,11 +86,6 @@ void gemm_reference(Op opa, Op opb, cplx alpha, const ZMatrix& a,
   }
 }
 
-// Cache-tile sizes (complex doubles; MC*KC and KC*NC panels fit in L2).
-constexpr idx kMC = 64;
-constexpr idx kKC = 128;
-constexpr idx kNC = 256;
-
 // kAuto cutoffs, in m*n*k complex multiply-adds: below kAutoTiny the
 // packing overhead dominates and the reference loop wins; above
 // kAutoParallel the problem amortizes spawning an OpenMP team.
@@ -115,296 +112,9 @@ void scale_c(cplx beta, ZMatrix& c) {
   }
 }
 
-// Pack op(A)[i0:i0+mb, l0:l0+kb] row-major into buf.
-void pack_a(Op opa, const ZMatrix& a, idx i0, idx mb, idx l0, idx kb,
-            cplx* buf) {
-  if (opa == Op::kNone) {
-    for (idx i = 0; i < mb; ++i) {
-      const cplx* src = a.row(i0 + i) + l0;
-      cplx* dst = buf + i * kb;
-      for (idx l = 0; l < kb; ++l) dst[l] = src[l];
-    }
-  } else if (opa == Op::kTrans) {
-    for (idx i = 0; i < mb; ++i)
-      for (idx l = 0; l < kb; ++l) buf[i * kb + l] = a(l0 + l, i0 + i);
-  } else {
-    for (idx i = 0; i < mb; ++i)
-      for (idx l = 0; l < kb; ++l)
-        buf[i * kb + l] = std::conj(a(l0 + l, i0 + i));
-  }
-}
-
-// Pack op(B)[l0:l0+kb, j0:j0+nb] row-major into buf.
-void pack_b(Op opb, const ZMatrix& b, idx l0, idx kb, idx j0, idx nb,
-            cplx* buf) {
-  if (opb == Op::kNone) {
-    for (idx l = 0; l < kb; ++l) {
-      const cplx* src = b.row(l0 + l) + j0;
-      cplx* dst = buf + l * nb;
-      for (idx j = 0; j < nb; ++j) dst[j] = src[j];
-    }
-  } else if (opb == Op::kTrans) {
-    for (idx l = 0; l < kb; ++l)
-      for (idx j = 0; j < nb; ++j) buf[l * nb + j] = b(j0 + j, l0 + l);
-  } else {
-    for (idx l = 0; l < kb; ++l)
-      for (idx j = 0; j < nb; ++j)
-        buf[l * nb + j] = std::conj(b(j0 + j, l0 + l));
-  }
-}
-
-// Accumulator micro-kernel: Cacc[mb x nb] += Apack[mb x kb] * Bpack[kb x nb].
-// axpy (outer-product) ordering: the inner j loop runs over contiguous
-// memory in both Bpack and Cacc, which the compiler vectorizes; l is
-// unrolled by 2 to amortize the broadcast of a_il.
-void micro_kernel(const cplx* ap, const cplx* bp, cplx* cacc, idx mb, idx nb,
-                  idx kb) {
-  for (idx i = 0; i < mb; ++i) {
-    const cplx* arow = ap + i * kb;
-    cplx* crow = cacc + i * nb;
-    idx l = 0;
-    for (; l + 1 < kb; l += 2) {
-      const cplx a0 = arow[l];
-      const cplx a1 = arow[l + 1];
-      const cplx* b0 = bp + l * nb;
-      const cplx* b1 = bp + (l + 1) * nb;
-      for (idx j = 0; j < nb; ++j) crow[j] += a0 * b0[j] + a1 * b1[j];
-    }
-    for (; l < kb; ++l) {
-      const cplx a0 = arow[l];
-      const cplx* b0 = bp + l * nb;
-      for (idx j = 0; j < nb; ++j) crow[j] += a0 * b0[j];
-    }
-  }
-}
-
-void gemm_blocked(Op opa, Op opb, cplx alpha, const ZMatrix& a,
-                  const ZMatrix& b, cplx beta, ZMatrix& c, bool parallel) {
-  const auto [m, k] = op_shape(opa, a);
-  const idx n = op_shape(opb, b).second;
-  scale_c(beta, c);
-
-  const idx n_row_panels = (m + kMC - 1) / kMC;
-
-  auto process_panel = [&](idx panel, cplx* apack, cplx* bpack, cplx* cacc) {
-    const idx i0 = panel * kMC;
-    const idx mb = std::min(kMC, m - i0);
-    for (idx j0 = 0; j0 < n; j0 += kNC) {
-      const idx nb = std::min(kNC, n - j0);
-      std::fill(cacc, cacc + mb * nb, cplx{});
-      for (idx l0 = 0; l0 < k; l0 += kKC) {
-        const idx kb = std::min(kKC, k - l0);
-        pack_a(opa, a, i0, mb, l0, kb, apack);
-        pack_b(opb, b, l0, kb, j0, nb, bpack);
-        micro_kernel(apack, bpack, cacc, mb, nb, kb);
-      }
-      for (idx i = 0; i < mb; ++i) {
-        cplx* crow = c.row(i0 + i) + j0;
-        const cplx* arow = cacc + i * nb;
-        for (idx j = 0; j < nb; ++j) crow[j] += alpha * arow[j];
-      }
-    }
-  };
-
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      std::vector<cplx> apack(static_cast<std::size_t>(kMC * kKC));
-      std::vector<cplx> bpack(static_cast<std::size_t>(kKC * kNC));
-      std::vector<cplx> cacc(static_cast<std::size_t>(kMC * kNC));
-#pragma omp for schedule(dynamic)
-      for (idx panel = 0; panel < n_row_panels; ++panel)
-        process_panel(panel, apack.data(), bpack.data(), cacc.data());
-    }
-#endif
-  } else {
-    std::vector<cplx> apack(static_cast<std::size_t>(kMC * kKC));
-    std::vector<cplx> bpack(static_cast<std::size_t>(kKC * kNC));
-    std::vector<cplx> cacc(static_cast<std::size_t>(kMC * kNC));
-    for (idx panel = 0; panel < n_row_panels; ++panel)
-      process_panel(panel, apack.data(), bpack.data(), cacc.data());
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Split-complex (planar) engine — the CPU mapping of the paper's
-// restructured GPU kernels: operands are staged into separate re/im planes
-// (the "shared-memory tile" equivalent) so the micro-kernel runs four
-// independent real FMA streams with no complex-multiply shuffle traffic.
-
-// Pack op(A)[i0:i0+mb, l0:l0+kb] into planar re/im buffers, row-major.
-void pack_a_split(Op opa, const ZMatrix& a, idx i0, idx mb, idx l0, idx kb,
-                  double* re, double* im) {
-  if (opa == Op::kNone) {
-    for (idx i = 0; i < mb; ++i) {
-      const cplx* src = a.row(i0 + i) + l0;
-      double* dr = re + i * kb;
-      double* di = im + i * kb;
-      for (idx l = 0; l < kb; ++l) {
-        dr[l] = src[l].real();
-        di[l] = src[l].imag();
-      }
-    }
-  } else {
-    const double s = (opa == Op::kConjTrans) ? -1.0 : 1.0;
-    for (idx i = 0; i < mb; ++i) {
-      double* dr = re + i * kb;
-      double* di = im + i * kb;
-      for (idx l = 0; l < kb; ++l) {
-        const cplx v = a(l0 + l, i0 + i);
-        dr[l] = v.real();
-        di[l] = s * v.imag();
-      }
-    }
-  }
-}
-
-// Pack ONE logical row l of op(B)[l0:l0+kb, j0:j0+nb] into the planar
-// panel; row granularity lets the parallel engine split the packing of the
-// shared B panel across the team.
-void pack_b_split_row(Op opb, const ZMatrix& b, idx l0, idx l, idx j0, idx nb,
-                      double* re, double* im) {
-  double* dr = re + l * nb;
-  double* di = im + l * nb;
-  if (opb == Op::kNone) {
-    const cplx* src = b.row(l0 + l) + j0;
-    for (idx j = 0; j < nb; ++j) {
-      dr[j] = src[j].real();
-      di[j] = src[j].imag();
-    }
-  } else {
-    const double s = (opb == Op::kConjTrans) ? -1.0 : 1.0;
-    for (idx j = 0; j < nb; ++j) {
-      const cplx v = b(j0 + j, l0 + l);
-      dr[j] = v.real();
-      di[j] = s * v.imag();
-    }
-  }
-}
-
-// Split-complex micro-kernel: Cacc += Apack * Bpack with the four real
-// product streams (rr, ii, ri, ir) as contiguous vectorizable loops:
-//   re += a_r b_r - a_i b_i;  im += a_r b_i + a_i b_r.
-// l is unrolled by 2 to amortize the scalar broadcasts.
-void micro_kernel_split(const double* ar, const double* ai, const double* br,
-                        const double* bi, double* cr, double* ci, idx mb,
-                        idx nb, idx kb) {
-  for (idx i = 0; i < mb; ++i) {
-    const double* arr = ar + i * kb;
-    const double* ari = ai + i * kb;
-    double* crr = cr + i * nb;
-    double* cri = ci + i * nb;
-    idx l = 0;
-    for (; l + 1 < kb; l += 2) {
-      const double a0r = arr[l], a0i = ari[l];
-      const double a1r = arr[l + 1], a1i = ari[l + 1];
-      const double* b0r = br + l * nb;
-      const double* b0i = bi + l * nb;
-      const double* b1r = br + (l + 1) * nb;
-      const double* b1i = bi + (l + 1) * nb;
-      for (idx j = 0; j < nb; ++j) {
-        crr[j] += a0r * b0r[j] - a0i * b0i[j] + a1r * b1r[j] - a1i * b1i[j];
-        cri[j] += a0r * b0i[j] + a0i * b0r[j] + a1r * b1i[j] + a1i * b1r[j];
-      }
-    }
-    for (; l < kb; ++l) {
-      const double a0r = arr[l], a0i = ari[l];
-      const double* b0r = br + l * nb;
-      const double* b0i = bi + l * nb;
-      for (idx j = 0; j < nb; ++j) {
-        crr[j] += a0r * b0r[j] - a0i * b0i[j];
-        cri[j] += a0r * b0i[j] + a0i * b0r[j];
-      }
-    }
-  }
-}
-
-/// Per-thread planar workspace of the split engine.
-struct SplitBuffers {
-  std::vector<double> are, aim, cre, cim;
-  SplitBuffers()
-      : are(static_cast<std::size_t>(kMC * kKC)),
-        aim(static_cast<std::size_t>(kMC * kKC)),
-        cre(static_cast<std::size_t>(kMC * kNC)),
-        cim(static_cast<std::size_t>(kMC * kNC)) {}
-};
-
-// Split-complex blocked engine. Loop order (l0, j0, i0): the packed-B panel
-// for one (l0, j0) is built ONCE and shared by every row panel — and, in
-// the parallel variant, by the whole OpenMP team — instead of being
-// re-packed per row panel as in gemm_blocked. Each (i0, j0) C tile receives
-// its k-blocks in fixed l0 order regardless of thread count, so serial and
-// parallel runs are bitwise identical.
-void gemm_split(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
-                cplx beta, ZMatrix& c, bool parallel) {
-  const auto [m, k] = op_shape(opa, a);
-  const idx n = op_shape(opb, b).second;
-  scale_c(beta, c);
-
-  const idx n_row_panels = (m + kMC - 1) / kMC;
-  std::vector<double> bre(static_cast<std::size_t>(kKC * kNC));
-  std::vector<double> bim(static_cast<std::size_t>(kKC * kNC));
-  const double alr = alpha.real(), ali = alpha.imag();
-
-  // One row panel against the current shared B panel.
-  auto panel_work = [&](idx panel, idx l0, idx kb, idx j0, idx nb,
-                        SplitBuffers& w) {
-    const idx i0 = panel * kMC;
-    const idx mb = std::min(kMC, m - i0);
-    pack_a_split(opa, a, i0, mb, l0, kb, w.are.data(), w.aim.data());
-    std::fill(w.cre.begin(), w.cre.begin() + mb * nb, 0.0);
-    std::fill(w.cim.begin(), w.cim.begin() + mb * nb, 0.0);
-    micro_kernel_split(w.are.data(), w.aim.data(), bre.data(), bim.data(),
-                       w.cre.data(), w.cim.data(), mb, nb, kb);
-    for (idx i = 0; i < mb; ++i) {
-      cplx* crow = c.row(i0 + i) + j0;
-      const double* rr = w.cre.data() + i * nb;
-      const double* ri = w.cim.data() + i * nb;
-      for (idx j = 0; j < nb; ++j)
-        crow[j] += cplx{alr * rr[j] - ali * ri[j], alr * ri[j] + ali * rr[j]};
-    }
-  };
-
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      SplitBuffers w;
-      for (idx l0 = 0; l0 < k; l0 += kKC) {
-        const idx kb = std::min(kKC, k - l0);
-        for (idx j0 = 0; j0 < n; j0 += kNC) {
-          const idx nb = std::min(kNC, n - j0);
-#pragma omp for schedule(static)
-          for (idx l = 0; l < kb; ++l)
-            pack_b_split_row(opb, b, l0, l, j0, nb, bre.data(), bim.data());
-          // implicit barrier: the B panel is complete before any tile reads
-          // it, and (after the loop below) fully consumed before re-packing.
-#pragma omp for schedule(dynamic)
-          for (idx panel = 0; panel < n_row_panels; ++panel)
-            panel_work(panel, l0, kb, j0, nb, w);
-        }
-      }
-    }
-#endif
-  } else {
-    SplitBuffers w;
-    for (idx l0 = 0; l0 < k; l0 += kKC) {
-      const idx kb = std::min(kKC, k - l0);
-      for (idx j0 = 0; j0 < n; j0 += kNC) {
-        const idx nb = std::min(kNC, n - j0);
-        for (idx l = 0; l < kb; ++l)
-          pack_b_split_row(opb, b, l0, l, j0, nb, bre.data(), bim.data());
-        for (idx panel = 0; panel < n_row_panels; ++panel)
-          panel_work(panel, l0, kb, j0, nb, w);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Gen-3 engine (kSimd / kParallel / zgemm_batch): planar layout as in gen-2,
-// but operands are packed into zero-padded MR/NR strips and each C tile is
+// Gen-3 engine (kSimd / kParallel / zgemm_batch): operands are packed into
+// split-complex (planar re/im) zero-padded MR/NR strips and each C tile is
 // computed by an explicit register-blocked micro-kernel
 // (la/microkernel.*) that keeps the tile FMA-resident across the whole KC
 // block instead of streaming the accumulator through memory. Kernel + tile
@@ -471,9 +181,11 @@ void v3_panel_work(const GemmV3Config& cfg, la::MicroKernelFn kern, Op opa,
   }
 }
 
-// Gen-3 blocked engine; same loop order and shared-B-panel teamwork as
-// gemm_split, so serial and parallel runs stay bitwise identical (every C
-// tile receives its k-blocks in fixed l0 order regardless of thread count).
+// Gen-3 blocked engine. Loop order (l0, j0, i0): the packed-B panel for one
+// (l0, j0) is built ONCE and shared by every row panel — and, in the
+// parallel variant, by the whole OpenMP team. Every C tile receives its
+// k-blocks in fixed l0 order regardless of thread count, so serial and
+// parallel runs are bitwise identical.
 void gemm_v3(const GemmV3Config& cfg, Op opa, Op opb, cplx alpha,
              const ZMatrix& a, const ZMatrix& b, cplx beta, ZMatrix& c,
              bool parallel) {
@@ -614,75 +326,6 @@ void herk_v3(const GemmV3Config& cfg, const ZMatrix& a, const ZMatrix& b,
   }
 }
 
-// Hermitian rank-k: C(upper) += A^H B with the split engine, panels
-// entirely below the diagonal skipped (the FLOP halving), partial tiles
-// masked at write-back. The mirror step runs afterwards in zherk_update.
-void herk_split(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
-                bool parallel) {
-  const idx p = a.rows();  // contraction length
-  const idx n = a.cols();  // C dimension
-  const idx n_row_panels = (n + kMC - 1) / kMC;
-
-  std::vector<double> bre(static_cast<std::size_t>(kKC * kNC));
-  std::vector<double> bim(static_cast<std::size_t>(kKC * kNC));
-
-  auto panel_work = [&](idx panel, idx l0, idx kb, idx j0, idx nb,
-                        SplitBuffers& w) {
-    const idx i0 = panel * kMC;
-    if (j0 + nb <= i0) return;  // tile entirely below the diagonal
-    const idx mb = std::min(kMC, n - i0);
-    pack_a_split(Op::kConjTrans, a, i0, mb, l0, kb, w.are.data(),
-                 w.aim.data());
-    std::fill(w.cre.begin(), w.cre.begin() + mb * nb, 0.0);
-    std::fill(w.cim.begin(), w.cim.begin() + mb * nb, 0.0);
-    micro_kernel_split(w.are.data(), w.aim.data(), bre.data(), bim.data(),
-                       w.cre.data(), w.cim.data(), mb, nb, kb);
-    for (idx i = 0; i < mb; ++i) {
-      // Upper triangle only: global column >= global row.
-      const idx jstart = std::max<idx>(0, (i0 + i) - j0);
-      cplx* crow = c.row(i0 + i) + j0;
-      const double* rr = w.cre.data() + i * nb;
-      const double* ri = w.cim.data() + i * nb;
-      for (idx j = jstart; j < nb; ++j) crow[j] += cplx{rr[j], ri[j]};
-    }
-  };
-
-  if (should_parallelize(parallel, n_row_panels)) {
-#ifdef _OPENMP
-#pragma omp parallel num_threads(xgw_num_threads())
-    {
-      SplitBuffers w;
-      for (idx l0 = 0; l0 < p; l0 += kKC) {
-        const idx kb = std::min(kKC, p - l0);
-        for (idx j0 = 0; j0 < n; j0 += kNC) {
-          const idx nb = std::min(kNC, n - j0);
-#pragma omp for schedule(static)
-          for (idx l = 0; l < kb; ++l)
-            pack_b_split_row(Op::kNone, b, l0, l, j0, nb, bre.data(),
-                             bim.data());
-#pragma omp for schedule(dynamic)
-          for (idx panel = 0; panel < n_row_panels; ++panel)
-            panel_work(panel, l0, kb, j0, nb, w);
-        }
-      }
-    }
-#endif
-  } else {
-    SplitBuffers w;
-    for (idx l0 = 0; l0 < p; l0 += kKC) {
-      const idx kb = std::min(kKC, p - l0);
-      for (idx j0 = 0; j0 < n; j0 += kNC) {
-        const idx nb = std::min(kNC, n - j0);
-        for (idx l = 0; l < kb; ++l)
-          pack_b_split_row(Op::kNone, b, l0, l, j0, nb, bre.data(),
-                           bim.data());
-        for (idx panel = 0; panel < n_row_panels; ++panel)
-          panel_work(panel, l0, kb, j0, nb, w);
-      }
-    }
-  }
-}
-
 void herk_reference(const ZMatrix& a, const ZMatrix& b, ZMatrix& c) {
   const idx p = a.rows();
   const idx n = a.cols();
@@ -695,11 +338,6 @@ void herk_reference(const ZMatrix& a, const ZMatrix& b, ZMatrix& c) {
 }
 
 }  // namespace
-
-GemmTiling gemm_tiling() {
-  const GemmV3Config& cfg = gemm_v3_active_config();
-  return {cfg.mc, cfg.kc, cfg.nc};
-}
 
 const GemmV3Config& gemm_v3_active_config() {
   static const GemmV3Config cfg = [] {
@@ -744,7 +382,7 @@ void zgemm_v3_explicit(const GemmV3Config& cfg, Op opa, Op opb, cplx alpha,
 }
 
 void zgemm(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
-           cplx beta, ZMatrix& c, GemmVariant variant, FlopCounter* flops) {
+           cplx beta, ZMatrix& c, GemmVariant variant) {
   const auto [m, ka] = op_shape(opa, a);
   const auto [kb, n] = op_shape(opb, b);
   XGW_REQUIRE(ka == kb, "zgemm: inner dimensions of op(A), op(B) must match");
@@ -752,9 +390,6 @@ void zgemm(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
               "zgemm: C shape must be op(A).rows x op(B).cols");
 
   variant = resolved_gemm_variant(variant, m, n, ka);
-  const bool v3 = variant == GemmVariant::kSimd ||
-                  variant == GemmVariant::kParallel;
-  const idx engine_mc = v3 ? gemm_v3_active_config().mc : kMC;
 
   obs::Span span("zgemm", "la", obs::detail_level::kFine);
   if (span.active()) {
@@ -762,51 +397,32 @@ void zgemm(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
     span.arg("n", static_cast<long long>(n));
     span.arg("k", static_cast<long long>(ka));
     span.arg("variant", variant_name(variant));
-    // Packed-panel reuse: each of the m/MC row panels is repacked once per
-    // (KC x NC) B tile it meets, so this is the engine's A-reuse.
-    span.arg("row_panels",
-             static_cast<long long>((m + engine_mc - 1) / engine_mc));
-    if (v3) {
+    if (variant != GemmVariant::kReference) {
       const GemmV3Config& cfg = gemm_v3_active_config();
-      span.arg("isa", la::simd_isa_name(cfg.isa));
-      span.arg("mr", static_cast<long long>(cfg.mr));
-      span.arg("nr", static_cast<long long>(cfg.nr));
-      span.arg("kc", static_cast<long long>(cfg.kc));
-      span.arg("nc", static_cast<long long>(cfg.nc));
+      // Packed-panel reuse: each of the m/MC row panels is repacked once
+      // per (KC x NC) B tile it meets, so this is the engine's A-reuse.
+      span.arg("row_panels",
+               static_cast<long long>((m + cfg.mc - 1) / cfg.mc));
+      engine_args(span, cfg);
     }
   }
 
-  switch (variant) {
-    case GemmVariant::kReference:
-      gemm_reference(opa, opb, alpha, a, b, beta, c);
-      break;
-    case GemmVariant::kBlocked:
-      gemm_blocked(opa, opb, alpha, a, b, beta, c, /*parallel=*/false);
-      break;
-    case GemmVariant::kSplit:
-      gemm_split(opa, opb, alpha, a, b, beta, c, /*parallel=*/false);
-      break;
-    case GemmVariant::kSimd:
-      gemm_v3(gemm_v3_active_config(), opa, opb, alpha, a, b, beta, c,
-              /*parallel=*/false);
-      break;
-    case GemmVariant::kParallel:
-    case GemmVariant::kAuto:  // unreachable: resolved above
-      gemm_v3(gemm_v3_active_config(), opa, opb, alpha, a, b, beta, c,
-              /*parallel=*/true);
-      break;
+  if (variant == GemmVariant::kReference) {
+    gemm_reference(opa, opb, alpha, a, b, beta, c);
+  } else {
+    gemm_v3(gemm_v3_active_config(), opa, opb, alpha, a, b, beta, c,
+            /*parallel=*/variant == GemmVariant::kParallel);
   }
 
   const auto counted = static_cast<std::uint64_t>(flop_model::zgemm(m, n, ka));
   obs::attribute_flops(counted);
   obs::attribute_bytes(16u * static_cast<std::uint64_t>(m * ka + ka * n +
                                                         2 * m * n));
-  if (flops != nullptr) flops->add(counted);
 }
 
 void zgemm_batch(Op opa, Op opb, cplx alpha,
                  const std::vector<GemmBatchItem>& items, const ZMatrix& b,
-                 cplx beta, FlopCounter* flops) {
+                 cplx beta) {
   if (items.empty()) return;
   const auto [k, n] = op_shape(opb, b);
 
@@ -860,7 +476,6 @@ void zgemm_batch(Op opa, Op opb, cplx alpha,
     }
     obs::attribute_flops(counted);
     obs::attribute_bytes(tiny_bytes);
-    if (flops != nullptr) flops->add(counted);
     return;
   }
 
@@ -894,11 +509,7 @@ void zgemm_batch(Op opa, Op opb, cplx alpha,
     span.arg("n", static_cast<long long>(n));
     span.arg("k", static_cast<long long>(k));
     span.arg("pairs", static_cast<long long>(pairs.size()));
-    span.arg("isa", la::simd_isa_name(cfg.isa));
-    span.arg("mr", static_cast<long long>(cfg.mr));
-    span.arg("nr", static_cast<long long>(cfg.nr));
-    span.arg("kc", static_cast<long long>(cfg.kc));
-    span.arg("nc", static_cast<long long>(cfg.nc));
+    engine_args(span, cfg);
   }
 
   // beta-scale each item's row window up front so tiles pure-accumulate.
@@ -970,11 +581,10 @@ void zgemm_batch(Op opa, Op opb, cplx alpha,
 
   obs::attribute_flops(counted);
   obs::attribute_bytes(total_bytes);
-  if (flops != nullptr) flops->add(counted);
 }
 
 void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
-                  GemmVariant variant, FlopCounter* flops) {
+                  GemmVariant variant) {
   const idx p = a.rows();
   const idx n = a.cols();
   XGW_REQUIRE(b.rows() == p && b.cols() == n,
@@ -983,34 +593,25 @@ void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
               "zherk_update: C must be n x n");
 
   variant = resolved_gemm_variant(variant, n, n, p);
-  const bool v3 = variant == GemmVariant::kSimd ||
-                  variant == GemmVariant::kParallel;
-  const idx engine_mc = v3 ? gemm_v3_active_config().mc : kMC;
 
   obs::Span span("zherk_update", "la", obs::detail_level::kFine);
   if (span.active()) {
     span.arg("n", static_cast<long long>(n));
     span.arg("k", static_cast<long long>(p));
     span.arg("variant", variant_name(variant));
-    span.arg("row_panels",
-             static_cast<long long>((n + engine_mc - 1) / engine_mc));
-    if (v3) {
+    if (variant != GemmVariant::kReference) {
       const GemmV3Config& cfg = gemm_v3_active_config();
-      span.arg("isa", la::simd_isa_name(cfg.isa));
-      span.arg("mr", static_cast<long long>(cfg.mr));
-      span.arg("nr", static_cast<long long>(cfg.nr));
-      span.arg("kc", static_cast<long long>(cfg.kc));
-      span.arg("nc", static_cast<long long>(cfg.nc));
+      span.arg("row_panels",
+               static_cast<long long>((n + cfg.mc - 1) / cfg.mc));
+      engine_args(span, cfg);
     }
   }
 
   if (variant == GemmVariant::kReference) {
     herk_reference(a, b, c);
-  } else if (v3) {
+  } else {
     herk_v3(gemm_v3_active_config(), a, b, c,
             /*parallel=*/variant == GemmVariant::kParallel);
-  } else {
-    herk_split(a, b, c, /*parallel=*/false);
   }
 
   // Mirror: the product is Hermitian by contract, so the lower triangle is
@@ -1024,11 +625,10 @@ void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
   obs::attribute_flops(counted);
   obs::attribute_bytes(16u *
                        static_cast<std::uint64_t>(2 * p * n + 2 * n * n));
-  if (flops != nullptr) flops->add(counted);
 }
 
 void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
-           cplx beta, std::vector<cplx>& y, FlopCounter* flops) {
+           cplx beta, std::vector<cplx>& y) {
   const auto [m, k] = op_shape(opa, a);
   XGW_REQUIRE(static_cast<idx>(x.size()) == k, "zgemv: x size mismatch");
   XGW_REQUIRE(static_cast<idx>(y.size()) == m, "zgemv: y size mismatch");
@@ -1081,7 +681,6 @@ void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
   const auto counted = static_cast<std::uint64_t>(flop_model::zgemv(m, k));
   obs::attribute_flops(counted);
   obs::attribute_bytes(16u * static_cast<std::uint64_t>(m * k + k + 2 * m));
-  if (flops != nullptr) flops->add(counted);
 }
 
 }  // namespace xgw

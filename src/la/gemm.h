@@ -5,20 +5,15 @@
 //
 // The paper's off-diagonal GPP kernel (Sec. 5.6) derives its performance from
 // recasting the self-energy contraction into ZGEMM calls, and its Tensile
-// study shows library-vs-tuned GEMM differences. xgw therefore ships multiple
-// ZGEMM implementations with the same restructurings the paper applies on
-// GPUs, mapped to CPU equivalents:
+// study shows library-vs-tuned GEMM differences. xgw therefore ships one
+// tuned ZGEMM engine with the restructurings the paper applies on GPUs,
+// mapped to CPU equivalents, plus the reference oracle it is tested against:
 //
 //   kReference  — canonical triple loop; correctness baseline.
-//   kBlocked    — cache-tiled with interleaved-complex operand packing
-//                 ("shared-memory staging" on GPU == pack-to-L1/L2 tiles on
-//                 CPU), axpy micro-kernel, unrolled; single-threaded.
-//   kSplit      — gen-2: cache-tiled with SPLIT-COMPLEX (planar) packing: A/B
-//                 tiles are unpacked into separate re/im planes so the inner
-//                 loop is four independent real FMA streams the compiler
-//                 auto-vectorizes; single-threaded.
-//   kSimd       — gen-3: the planar layout driven by explicit register-blocked
-//                 SIMD micro-kernels (la/microkernel.*): an MR x NR tile of C
+//   kSimd       — the gen-3 engine: cache-tiled with SPLIT-COMPLEX (planar)
+//                 packing ("shared-memory staging" on GPU == pack-to-L1/L2
+//                 tiles on CPU) driven by explicit register-blocked SIMD
+//                 micro-kernels (la/microkernel.*): an MR x NR tile of C
 //                 stays register-resident across each KC block instead of
 //                 streaming through memory. The kernel (AVX-512, AVX2, or
 //                 scalar) and the {MR, NR, KC, NC} tiling come from runtime
@@ -36,11 +31,10 @@
 //                 safety), kParallel for large problems.
 //
 // All variants support op(A), op(B) in {none, transpose, conjugate-transpose}
-// and are validated against each other by parameterized tests. kSimd and
+// and are validated against the reference by parameterized tests. kSimd and
 // kParallel are bitwise identical by construction (each C tile receives its
 // k-blocks in a fixed order regardless of thread count).
 
-#include "common/flops.h"
 #include "la/matrix.h"
 #include "la/simd.h"
 
@@ -50,8 +44,6 @@ enum class Op { kNone, kTrans, kConjTrans };
 
 enum class GemmVariant {
   kReference,
-  kBlocked,
-  kSplit,
   kSimd,
   kParallel,
   kAuto,
@@ -59,10 +51,9 @@ enum class GemmVariant {
 
 /// C = alpha * op(A) * op(B) + beta * C.
 /// Shapes: op(A) is m x k, op(B) is k x n, C is m x n (checked).
-/// If `flops` is non-null the canonical 8*m*n*k count is added to it.
+/// Attributes the canonical 8*m*n*k FLOPs to the calling thread's obs span.
 void zgemm(Op opa, Op opb, cplx alpha, const ZMatrix& a, const ZMatrix& b,
-           cplx beta, ZMatrix& c, GemmVariant variant = GemmVariant::kAuto,
-           FlopCounter* flops = nullptr);
+           cplx beta, ZMatrix& c, GemmVariant variant = GemmVariant::kAuto);
 
 /// One batch member of zgemm_batch: an independent A operand and its C
 /// output (both owned by the caller). The product lands in C rows
@@ -88,10 +79,10 @@ struct GemmBatchItem {
 /// (packing the shared panel would cost more than it saves). Either way
 /// results are bitwise identical for any thread count (each C tile
 /// accumulates its k-blocks in fixed order; the tiny path is serial).
-/// Counts the canonical sum_i 8*m_i*n*k FLOPs into `flops` if non-null.
+/// Attributes the canonical sum_i 8*m_i*n*k FLOPs.
 void zgemm_batch(Op opa, Op opb, cplx alpha,
                  const std::vector<GemmBatchItem>& items, const ZMatrix& b,
-                 cplx beta, FlopCounter* flops = nullptr);
+                 cplx beta);
 
 /// Hermitian rank-k accumulation: C += A^H * B, where B = diag(w) * A for
 /// REAL weights w so that the product is Hermitian (the CHI-Freq update
@@ -99,31 +90,23 @@ void zgemm_batch(Op opa, Op opb, cplx alpha,
 /// axis). Only the upper triangle is computed — half the FLOPs of the
 /// general zgemm — and the lower triangle is mirrored by conjugation, so C
 /// is exactly Hermitian on exit (the diagonal is forced real).
-/// Shapes: A, B are p x n; C is n x n (checked). Counts 4*n*(n+1)*p FLOPs.
+/// Shapes: A, B are p x n; C is n x n (checked). Attributes 4*n*(n+1)*p
+/// FLOPs.
 void zherk_update(const ZMatrix& a, const ZMatrix& b, ZMatrix& c,
-                  GemmVariant variant = GemmVariant::kAuto,
-                  FlopCounter* flops = nullptr);
+                  GemmVariant variant = GemmVariant::kAuto);
 
 /// y = alpha * op(A) * x + beta * y. The Op::kNone path parallelizes over
-/// rows for large m*k; `flops` (if non-null) accumulates 8*m*k.
+/// rows for large m*k; attributes 8*m*k FLOPs.
 void zgemv(Op opa, cplx alpha, const ZMatrix& a, const std::vector<cplx>& x,
-           cplx beta, std::vector<cplx>& y, FlopCounter* flops = nullptr);
+           cplx beta, std::vector<cplx>& y);
 
 /// Returns op(A) dimensions (rows, cols) for shape checking.
 std::pair<idx, idx> op_shape(Op op, const ZMatrix& a);
 
-/// Cache-tile sizes of the ACTIVE engine (MC x KC A panels, KC x NC B
-/// panels), exported for the roofline model in perf/. Reports the gen-3
-/// engine's autotuned tiling — i.e. gemm_v3_active_config() — so rooflines
-/// describe the tiles actually run on this machine (first call may trigger
-/// the autotune probe/sweep; see la/autotune.h).
-struct GemmTiling {
-  idx mc, kc, nc;
-};
-GemmTiling gemm_tiling();
-
 /// Full gen-3 engine configuration: which micro-kernel (isa, mr, nr) and
-/// which cache tiling (mc, kc, nc) drive kSimd / kParallel / zgemm_batch.
+/// which cache tiling (MC x KC A panels, KC x NC B panels) drive kSimd /
+/// kParallel / zgemm_batch. The perf/ rooflines read the tiles from here,
+/// so they describe the tiles actually run on this machine.
 struct GemmV3Config {
   la::SimdIsa isa;
   int mr, nr;
@@ -131,7 +114,8 @@ struct GemmV3Config {
 };
 
 /// The process-wide gen-3 configuration: detected ISA + autotuned tiles
-/// (lazily resolved through la/autotune.* on first use; cached thereafter).
+/// (lazily resolved through la/autotune.* on first use — which may run the
+/// autotune probe/sweep — and cached thereafter).
 const GemmV3Config& gemm_v3_active_config();
 
 /// Run the gen-3 engine under an EXPLICIT configuration, bypassing dispatch
@@ -160,9 +144,9 @@ GemmVariant resolved_gemm_variant(GemmVariant requested, idx m, idx n, idx k);
 /// the degraded variants are bitwise-identical, so only speed changes.
 bool in_parallel_region();
 
-/// Thread budget for xgw's own parallel kernels: XGW_NUM_THREADS when set
-/// to a positive integer (read once), otherwise the OpenMP default
-/// (omp_get_max_threads()); 1 in serial builds.
+/// Thread budget for xgw's own parallel kernels: the OpenMP default
+/// (omp_get_max_threads(), i.e. OMP_NUM_THREADS or omp_set_num_threads());
+/// 1 in serial builds.
 int xgw_num_threads();
 
 }  // namespace xgw

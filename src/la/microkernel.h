@@ -2,9 +2,9 @@
 
 // Explicit SIMD micro-kernels for the third-generation GEMM engine.
 //
-// Gen-2 (GemmVariant::kSplit) streams its C accumulator tile through memory
-// on every k iteration and relies on compiler auto-vectorization.  Gen-3
-// keeps an MR x NR register tile of C resident across the whole KC-block
+// Rather than streaming a C accumulator tile through memory on every k
+// iteration and relying on compiler auto-vectorization, gen-3 keeps an
+// MR x NR register tile of C resident across the whole KC-block
 // contraction: each kernel call computes one tile of
 //
 //     Cacc[tile] = sum_l A_strip(l) (x) B_strip(l)

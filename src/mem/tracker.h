@@ -96,7 +96,7 @@ class MemTracker {
 
   /// Re-arms every high-water mark at the current level so a bench/test can
   /// measure the peak of one phase in isolation. Call from quiescent code
-  /// only (like FlopCounter::reset and MetricsRegistry::clear).
+  /// only (like MetricsRegistry::clear).
   void reset_peak() noexcept {
     for (int i = 0; i < kTagCount; ++i)
       peak_[static_cast<std::size_t>(i)].store(

@@ -11,10 +11,9 @@
 // concurrently-running increments may or may not be included, exactly the
 // semantics of scraping a live process.
 //
-// This registry is the successor of the single global FlopCounter: kernel
-// FLOP/byte totals flow in through obs::Span attribution (see span.h), so
-// every kernel invocation carries its own achieved-rate numerator instead
-// of one process-wide sum.
+// Kernel FLOP/byte totals do not flow through this registry: they are
+// attributed to obs::Span records (see span.h), so every kernel invocation
+// carries its own achieved-rate numerator instead of one process-wide sum.
 
 #include <atomic>
 #include <cstdint>
@@ -92,8 +91,8 @@ class MetricsRegistry {
   std::string snapshot_json() const;
   bool write_json(const std::string& path) const;
 
-  /// Drops every instrument (single-threaded use only, like
-  /// FlopCounter::reset — see the quiescence note in common/flops.h).
+  /// Drops every instrument. Single-threaded use only: a clear() racing a
+  /// concurrent increment can lose that count.
   void clear();
 
   /// Process-wide registry.

@@ -44,9 +44,9 @@ std::string RunReportDoc::to_json() const {
     os << ",\n  \"mem_bandwidth_gbs\": ";
     put_double(mem_bandwidth_gbs);
   }
-  if (split_gemm_roofline_gflops > 0.0) {
-    os << ",\n  \"split_gemm_roofline_gflops\": ";
-    put_double(split_gemm_roofline_gflops);
+  if (gemm_roofline_gflops > 0.0) {
+    os << ",\n  \"gemm_roofline_gflops\": ";
+    put_double(gemm_roofline_gflops);
   }
   os << ",\n  \"stages\": [\n";
   for (std::size_t i = 0; i < stages.size(); ++i) {

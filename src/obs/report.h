@@ -40,13 +40,13 @@ struct RunReportDoc {
   std::string config_hash;  ///< FNV-1a of the configuration text (hex)
   std::vector<StageReport> stages;
   double total_seconds = 0.0;      ///< sum over stage rows (spans overlap!)
-  std::uint64_t total_flops = 0;   ///< span FLOPs + orphans == legacy counter
+  std::uint64_t total_flops = 0;   ///< span FLOPs + orphans
   double peak_gflops = 0.0;        ///< machine peak, 0 = unknown
   double mem_bandwidth_gbs = 0.0;  ///< machine bandwidth, 0 = unknown
-  /// Ceiling of the packed split-complex GEMM engine from
-  /// perf/progmodel::split_gemm_roofline (stamped by the CLI driver which
-  /// links perf/); 0 = absent.
-  double split_gemm_roofline_gflops = 0.0;
+  /// Ceiling of the gen-3 GEMM engine at its autotuned tiles from
+  /// perf/progmodel::gemm_roofline (stamped by the CLI driver which links
+  /// perf/); 0 = absent.
+  double gemm_roofline_gflops = 0.0;
 
   std::string to_json() const;
   bool write(const std::string& path) const;

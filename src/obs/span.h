@@ -17,12 +17,13 @@
 //  * recorder enabled: two clock reads + one uncontended mutex append,
 //    O(100 ns) — bench_kernels_micro measures both paths.
 //
-// FLOP attribution: kernels call obs::attribute_flops(n) at the same sites
-// where they feed the legacy FlopCounter. The count lands on the calling
-// thread's innermost open span; with no span open it goes to the
-// recorder's orphan counter (e.g. OpenMP worker threads whose team master
-// holds the span). Every FLOP is attributed exactly once, so
-//   sum over spans + orphans == legacy global FlopCounter total
+// FLOP attribution: kernels call obs::attribute_flops(n) with their
+// canonical count (common/flops.h flop_model) once per call. The count
+// lands on the calling thread's innermost open span; with no span open it
+// goes to the recorder's orphan counter (e.g. OpenMP or scheduler worker
+// threads whose spawning thread holds the span). Every FLOP is attributed
+// exactly once, so
+//   sum over spans + orphans == sum of the kernels' canonical counts
 // (exact, tested). When the recorder is off, attribution is a no-op.
 
 #include <cstdint>

@@ -122,7 +122,7 @@ class TraceRecorder {
 
   /// FLOPs attributed while no span was open (e.g. from worker threads of
   /// an OpenMP team whose master holds the span). Kept so that the sum of
-  /// span FLOPs + orphans always equals the legacy global FlopCounter.
+  /// span FLOPs + orphans always equals every FLOP the kernels attributed.
   void add_orphan_flops(std::uint64_t n) {
     orphan_flops_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -173,8 +173,8 @@ class TraceRecorder {
   /// subsumes TimerRegistry::report().
   std::string breakdown() const;
 
-  /// Sum of FLOPs over every span plus orphan attributions: equals the
-  /// legacy global FlopCounter total when both are wired (tested).
+  /// Sum of FLOPs over every span plus orphan attributions: every FLOP the
+  /// kernels attributed while the recorder was on, exactly once (tested).
   std::uint64_t total_flops() const;
 
   /// Process-wide recorder.

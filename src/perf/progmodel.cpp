@@ -93,12 +93,12 @@ double prog_model_factor(MachineKind machine, ProgModel model,
   return kInf;
 }
 
-KernelRoofline split_gemm_roofline(double peak_flops, double mem_bandwidth,
-                                   idx k, idx b_reuse) {
+KernelRoofline gemm_roofline(double peak_flops, double mem_bandwidth,
+                             idx k, idx b_reuse) {
   XGW_REQUIRE(peak_flops > 0.0 && mem_bandwidth > 0.0 && k > 0,
-              "split_gemm_roofline: peak, bandwidth, k must be positive");
-  XGW_REQUIRE(b_reuse >= 1, "split_gemm_roofline: b_reuse must be >= 1");
-  const GemmTiling t = gemm_tiling();
+              "gemm_roofline: peak, bandwidth, k must be positive");
+  XGW_REQUIRE(b_reuse >= 1, "gemm_roofline: b_reuse must be >= 1");
+  const GemmV3Config& t = gemm_v3_active_config();
   const double mc = static_cast<double>(t.mc);
   const double nc = static_cast<double>(t.nc);
   const double kd = static_cast<double>(k);

@@ -42,12 +42,12 @@ double prog_model_factor(MachineKind machine, ProgModel model,
 /// The hardware-optimized model native to each machine.
 ProgModel native_model(MachineKind machine);
 
-/// Roofline entry for the CPU split-complex GEMM micro-kernel (the la/
-/// kSplit / kParallel engine): attainable FLOP rate = min(peak, AI * BW)
-/// with the arithmetic intensity computed from the engine's actual tile
-/// sizes — the CPU analogue of the paper's shared-memory-staged GPU GEMM,
-/// whose blocking exists precisely to push AI past the machine balance
-/// point.
+/// Roofline entry for the CPU GEMM engine (la/ kSimd / kParallel):
+/// attainable FLOP rate = min(peak, AI * BW) with the arithmetic intensity
+/// computed from the engine's autotuned tile sizes
+/// (gemm_v3_active_config()) — the CPU analogue of the paper's
+/// shared-memory-staged GPU GEMM, whose blocking exists precisely to push
+/// AI past the machine balance point.
 struct KernelRoofline {
   double arithmetic_intensity;  ///< FLOPs per byte of main-memory traffic
   double attainable_flops;      ///< min(peak, AI * bandwidth), FLOP/s
@@ -59,7 +59,7 @@ struct KernelRoofline {
 /// the shared packed-B panel (16*K*NC, amortized over the row panels that
 /// reuse it — `b_reuse` row panels share one packing), and read+write the
 /// C tile once per K block (2 * 16*MC*NC * ceil(K/KC)).
-KernelRoofline split_gemm_roofline(double peak_flops, double mem_bandwidth,
-                                   idx k, idx b_reuse = 1);
+KernelRoofline gemm_roofline(double peak_flops, double mem_bandwidth,
+                             idx k, idx b_reuse = 1);
 
 }  // namespace xgw

@@ -181,7 +181,7 @@ TEST(BenchCompare, IdenticalDocumentsPass) {
   EXPECT_EQ(r.failures(), 0);
 }
 
-TEST(BenchCompare, DoubledFlopCounterFailsNamingSeries) {
+TEST(BenchCompare, DoubledFlopCountFailsNamingSeries) {
   const BenchDoc base = make_doc({make_series("gpp/diag", 100.0)});
   const BenchDoc cur = make_doc({make_series("gpp/diag", 200.0)});
   const BenchComparison r = compare(base, cur, CompareOptions{});

@@ -12,6 +12,7 @@
 #include "io/binio.h"
 #include "mf/epm.h"
 #include "mf/solver.h"
+#include "obs/trace.h"
 #include "pseudobands/parabands.h"
 #include "pseudobands/pseudobands.h"
 
@@ -144,13 +145,15 @@ TEST(Integration, FfOffdiagZgemmFlopAccounting) {
   const FfScreening scr = build_ff_screening(gw, fo);
   const std::vector<idx> bands{3, 4, 5};
   const std::vector<double> e_grid{0.1, 0.3};
-  FlopCounter fc;
-  sigma_ff_offdiag(gw, scr, bands, e_grid, 0.02, &fc);
+  obs::recorder().enable();
+  sigma_ff_offdiag(gw, scr, bands, e_grid, 0.02);
+  obs::recorder().disable();
   // Per (n, k): two ZGEMMs of shapes (3 x ng x ng) and (3 x ng x 3).
   const double ng = static_cast<double>(gw.n_g());
   const double expect = static_cast<double>(gw.n_bands()) * 4.0 *
                         (8.0 * 3.0 * ng * ng + 8.0 * 3.0 * 3.0 * ng);
-  EXPECT_NEAR(static_cast<double>(fc.total()), expect, 1e-6 * expect);
+  EXPECT_NEAR(static_cast<double>(obs::recorder().total_flops()), expect,
+              1e-6 * expect);
 }
 
 struct MaterialPipeline : public ::testing::TestWithParam<int> {};

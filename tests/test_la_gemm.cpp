@@ -1,9 +1,10 @@
 // Unit + property tests: ZGEMM variants and ZGEMV.
 //
-// The blocked and parallel GEMMs must agree with the reference triple loop
-// for every op combination and for shapes that exercise tile remainders —
-// these are the exact code paths the GPP off-diag kernel (Sec. 5.6) relies
-// on for its throughput.
+// The gen-3 engine (kSimd serial, kParallel team) and the kAuto dispatch
+// must agree with the reference triple loop for every op combination and
+// for shapes that exercise tile remainders — these are the exact code
+// paths the GPP off-diag kernel (Sec. 5.6) relies on for its throughput.
+// FLOP counts are read from obs attribution, the one accounting path.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +16,12 @@
 #include <omp.h>
 #endif
 
+#include "common/flops.h"
 #include "common/rng.h"
 #include "la/gemm.h"
 #include "la/microkernel.h"
 #include "la/simd.h"
+#include "obs/trace.h"
 
 namespace xgw {
 namespace {
@@ -46,32 +49,24 @@ TEST_P(GemmShapes, BlockedMatchesReferenceAllOps) {
       const ZMatrix b = (opb == Op::kNone) ? random_matrix(k, n, rng)
                                            : random_matrix(n, k, rng);
       ZMatrix c0 = random_matrix(m, n, rng);
-      ZMatrix c1 = c0, c2 = c0, c3 = c0, c4 = c0, c5 = c0;
+      ZMatrix c_par = c0, c_auto = c0, c_simd = c0;
 
       const cplx alpha{1.3, -0.4}, beta{0.2, 0.7};
       zgemm(opa, opb, alpha, a, b, beta, c0, GemmVariant::kReference);
-      zgemm(opa, opb, alpha, a, b, beta, c1, GemmVariant::kBlocked);
-      zgemm(opa, opb, alpha, a, b, beta, c2, GemmVariant::kParallel);
-      zgemm(opa, opb, alpha, a, b, beta, c3, GemmVariant::kSplit);
-      zgemm(opa, opb, alpha, a, b, beta, c4, GemmVariant::kAuto);
-      zgemm(opa, opb, alpha, a, b, beta, c5, GemmVariant::kSimd);
+      zgemm(opa, opb, alpha, a, b, beta, c_par, GemmVariant::kParallel);
+      zgemm(opa, opb, alpha, a, b, beta, c_auto, GemmVariant::kAuto);
+      zgemm(opa, opb, alpha, a, b, beta, c_simd, GemmVariant::kSimd);
 
       const double tol = 1e-11 * static_cast<double>(k + 1);
-      EXPECT_LT(max_abs_diff(c0, c1), tol)
-          << "blocked mismatch at opa=" << static_cast<int>(opa)
-          << " opb=" << static_cast<int>(opb);
-      EXPECT_LT(max_abs_diff(c0, c2), tol) << "parallel mismatch";
-      EXPECT_LT(max_abs_diff(c0, c3), tol)
-          << "split mismatch at opa=" << static_cast<int>(opa)
-          << " opb=" << static_cast<int>(opb);
-      EXPECT_LT(max_abs_diff(c0, c4), tol) << "auto mismatch";
-      EXPECT_LT(max_abs_diff(c0, c5), tol)
+      EXPECT_LT(max_abs_diff(c0, c_par), tol) << "parallel mismatch";
+      EXPECT_LT(max_abs_diff(c0, c_auto), tol) << "auto mismatch";
+      EXPECT_LT(max_abs_diff(c0, c_simd), tol)
           << "simd mismatch at opa=" << static_cast<int>(opa)
           << " opb=" << static_cast<int>(opb);
       // Both run the gen-3 engine with a fixed k-block accumulation order
       // per C tile, so the serial (kSimd) and team-parallel (kParallel)
       // drivers must agree bitwise.
-      EXPECT_EQ(max_abs_diff(c2, c5), 0.0)
+      EXPECT_EQ(max_abs_diff(c_par, c_simd), 0.0)
           << "gen-3 serial/parallel not bitwise-equal";
     }
   }
@@ -84,20 +79,23 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{70, 260, 140}, Shape{128, 1, 64},
                       Shape{1, 300, 5},
                       // K-block remainder tails and prime dims for the
-                      // split-complex packing paths.
+                      // strip-packing paths.
                       Shape{130, 70, 257}, Shape{31, 67, 131},
                       Shape{64, 256, 128}));
 
 TEST(Gemm, BetaZeroOverwritesNanFreeEvenFromGarbage) {
-  // beta = 0 must not propagate pre-existing NaN/Inf in C.
+  // beta = 0 must not propagate pre-existing NaN/Inf in C (the gen-3
+  // engine's up-front C scaling owns this path).
   Rng rng(3);
   const ZMatrix a = random_matrix(8, 8, rng);
   const ZMatrix b = random_matrix(8, 8, rng);
-  ZMatrix c(8, 8, cplx{std::numeric_limits<double>::quiet_NaN(), 0.0});
-  zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, a, b, cplx{}, c,
-        GemmVariant::kBlocked);
-  for (idx i = 0; i < c.size(); ++i)
-    EXPECT_TRUE(std::isfinite(c.data()[i].real()));
+  for (GemmVariant v : {GemmVariant::kSimd, GemmVariant::kParallel}) {
+    ZMatrix c(8, 8, cplx{std::numeric_limits<double>::quiet_NaN(), 0.0});
+    zgemm(Op::kNone, Op::kNone, cplx{1.0, 0.0}, a, b, cplx{}, c, v);
+    for (idx i = 0; i < c.size(); ++i)
+      EXPECT_TRUE(std::isfinite(c.data()[i].real()))
+          << "variant " << static_cast<int>(v);
+  }
 }
 
 TEST(Gemm, ShapeMismatchThrows) {
@@ -113,24 +111,29 @@ TEST(Gemm, ConjTransEqualsManualAdjoint) {
   Rng rng(5);
   const ZMatrix a = random_matrix(6, 9, rng);
   const ZMatrix b = random_matrix(6, 7, rng);
-  ZMatrix c(9, 7), cref(9, 7);
-  zgemm(Op::kConjTrans, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-        GemmVariant::kBlocked);
+  ZMatrix cref(9, 7);
   const ZMatrix ah = adjoint(a);
   zgemm(Op::kNone, Op::kNone, cplx{1, 0}, ah, b, cplx{}, cref,
         GemmVariant::kReference);
-  EXPECT_LT(max_abs_diff(c, cref), 1e-12);
+  for (GemmVariant v : {GemmVariant::kSimd, GemmVariant::kParallel}) {
+    ZMatrix c(9, 7);
+    zgemm(Op::kConjTrans, Op::kNone, cplx{1, 0}, a, b, cplx{}, c, v);
+    EXPECT_LT(max_abs_diff(c, cref), 1e-12)
+        << "variant " << static_cast<int>(v);
+  }
 }
 
-TEST(Gemm, FlopCounterAccumulatesCanonicalCount) {
+TEST(Gemm, ObsFlopsMatchCanonicalCount) {
   Rng rng(9);
   const ZMatrix a = random_matrix(10, 20, rng);
   const ZMatrix b = random_matrix(20, 30, rng);
   ZMatrix c(10, 30);
-  FlopCounter fc;
+  obs::recorder().enable();
   zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-        GemmVariant::kParallel, &fc);
-  EXPECT_EQ(fc.total(), static_cast<std::uint64_t>(8 * 10 * 20 * 30));
+        GemmVariant::kParallel);
+  obs::recorder().disable();
+  EXPECT_EQ(obs::recorder().total_flops(),
+            static_cast<std::uint64_t>(8 * 10 * 20 * 30));
 }
 
 class ZherkShapes : public ::testing::TestWithParam<Shape> {};
@@ -156,27 +159,28 @@ TEST_P(ZherkShapes, MatchesZgemmAndIsHermitian) {
       c0(j, i) = std::conj(c0(i, j));
     }
   }
-  ZMatrix c1 = c0, c2 = c0;
-
-  ZMatrix c3 = c0, c4 = c0;
+  ZMatrix c_auto = c0, c_simd = c0, c_par = c0;
   zgemm(Op::kConjTrans, Op::kNone, cplx{1, 0}, a, b, cplx{1, 0}, c0,
         GemmVariant::kReference);
-  zherk_update(a, b, c1, GemmVariant::kSplit);
-  zherk_update(a, b, c2, GemmVariant::kAuto);
-  zherk_update(a, b, c3, GemmVariant::kSimd);
-  zherk_update(a, b, c4, GemmVariant::kParallel);
+  zherk_update(a, b, c_auto, GemmVariant::kAuto);
+  zherk_update(a, b, c_simd, GemmVariant::kSimd);
+  zherk_update(a, b, c_par, GemmVariant::kParallel);
 
   const double tol = 1e-11 * static_cast<double>(p + 1);
-  EXPECT_LT(max_abs_diff(c0, c1), tol) << "zherk(split) vs zgemm";
-  EXPECT_LT(max_abs_diff(c0, c2), tol) << "zherk(auto) vs zgemm";
-  EXPECT_LT(max_abs_diff(c0, c3), tol) << "zherk(simd) vs zgemm";
-  EXPECT_EQ(max_abs_diff(c3, c4), 0.0)
+  EXPECT_LT(max_abs_diff(c0, c_auto), tol) << "zherk(auto) vs zgemm";
+  EXPECT_LT(max_abs_diff(c0, c_simd), tol) << "zherk(simd) vs zgemm";
+  EXPECT_EQ(max_abs_diff(c_simd, c_par), 0.0)
       << "zherk gen-3 serial/parallel not bitwise-equal";
-  for (idx i = 0; i < n; ++i) {
-    EXPECT_EQ(c1(i, i).imag(), 0.0) << "diagonal must be exactly real";
-    for (idx j = i + 1; j < n; ++j)
-      EXPECT_EQ(c1(j, i), std::conj(c1(i, j)))
-          << "mirror must be exact at (" << i << "," << j << ")";
+  for (const ZMatrix* c : {&c_simd, &c_par}) {
+    const char* which = c == &c_simd ? "simd" : "parallel";
+    for (idx i = 0; i < n; ++i) {
+      EXPECT_EQ((*c)(i, i).imag(), 0.0)
+          << which << ": diagonal must be exactly real";
+      for (idx j = i + 1; j < n; ++j)
+        EXPECT_EQ((*c)(j, i), std::conj((*c)(i, j)))
+            << which << ": mirror must be exact at (" << i << "," << j
+            << ")";
+    }
   }
 }
 
@@ -186,14 +190,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{129, 64, 0}, Shape{70, 131, 0},
                       Shape{257, 90, 0}));
 
-TEST(Zherk, FlopCounterUsesHermitianModel) {
+TEST(Zherk, ObsFlopsUseHermitianModel) {
   Rng rng(43);
   const ZMatrix a = random_matrix(12, 10, rng);
   const ZMatrix b = a;
   ZMatrix c(10, 10);
-  FlopCounter fc;
-  zherk_update(a, b, c, GemmVariant::kSplit, &fc);
-  EXPECT_EQ(fc.total(),
+  obs::recorder().enable();
+  zherk_update(a, b, c, GemmVariant::kSimd);
+  obs::recorder().disable();
+  EXPECT_EQ(obs::recorder().total_flops(),
             static_cast<std::uint64_t>(flop_model::zherk(10, 12)));
 }
 
@@ -207,7 +212,7 @@ TEST(Zherk, ShapeMismatchThrows) {
 #ifdef _OPENMP
 TEST(Gemm, NestedCallInsideParallelRegionStaysCorrect) {
   // Each thread issues its own kParallel/kAuto GEMM; in_parallel_region()
-  // must degrade them to the serial split driver, not oversubscribe or race.
+  // must degrade them to the serial gen-3 driver, not oversubscribe or race.
   Rng rng(59);
   const idx m = 40, n = 36, k = 70;
   const ZMatrix a = random_matrix(m, k, rng);
@@ -281,8 +286,8 @@ TEST(GemmDispatch, AutoNeverPicksParallelInsideParallelRegion) {
 #endif
 
   // Explicit serial variants are never rewritten.
-  EXPECT_EQ(resolved_gemm_variant(GemmVariant::kSplit, big, big, big),
-            GemmVariant::kSplit);
+  EXPECT_EQ(resolved_gemm_variant(GemmVariant::kSimd, big, big, big),
+            GemmVariant::kSimd);
   EXPECT_EQ(resolved_gemm_variant(GemmVariant::kSimd, 2, 2, 2),
             GemmVariant::kSimd);
 }
@@ -406,8 +411,9 @@ TEST(ZgemmBatch, MatchesPerCallReferenceWithHeterogeneousRowCounts) {
   for (std::size_t i = 0; i < ms.size(); ++i)
     items.push_back({&as[i], &cs[i]});
 
-  FlopCounter fc;
-  zgemm_batch(Op::kNone, Op::kNone, alpha, items, b, beta, &fc);
+  obs::recorder().enable();
+  zgemm_batch(Op::kNone, Op::kNone, alpha, items, b, beta);
+  obs::recorder().disable();
 
   std::uint64_t want_flops = 0;
   for (std::size_t i = 0; i < ms.size(); ++i) {
@@ -419,7 +425,7 @@ TEST(ZgemmBatch, MatchesPerCallReferenceWithHeterogeneousRowCounts) {
     want_flops += static_cast<std::uint64_t>(
         flop_model::zgemm(ms[i], n, k));
   }
-  EXPECT_EQ(fc.total(), want_flops)
+  EXPECT_EQ(obs::recorder().total_flops(), want_flops)
       << "batch must count the canonical sum of per-item FLOPs";
 }
 
@@ -555,14 +561,16 @@ TEST(Gemv, SizeMismatchThrows) {
   EXPECT_THROW(zgemv(Op::kNone, cplx{1, 0}, a, x, cplx{}, y), Error);
 }
 
-TEST(Gemv, FlopCounterUsesGemvModel) {
+TEST(Gemv, ObsFlopsUseGemvModel) {
   Rng rng(23);
   const ZMatrix a = random_matrix(14, 11, rng);
   std::vector<cplx> x(11), y(14);
   for (auto& v : x) v = rng.normal_cplx();
-  FlopCounter fc;
-  zgemv(Op::kNone, cplx{1, 0}, a, x, cplx{}, y, &fc);
-  EXPECT_EQ(fc.total(), static_cast<std::uint64_t>(flop_model::zgemv(14, 11)));
+  obs::recorder().enable();
+  zgemv(Op::kNone, cplx{1, 0}, a, x, cplx{}, y);
+  obs::recorder().disable();
+  EXPECT_EQ(obs::recorder().total_flops(),
+            static_cast<std::uint64_t>(flop_model::zgemv(14, 11)));
 }
 
 TEST(Gemv, LargeOpNoneTakesRowParallelPathAndMatchesReference) {

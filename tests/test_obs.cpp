@@ -1,7 +1,7 @@
 // Tests: observability subsystem — JSON escaper/parser, metrics registry,
 // trace recorder + Chrome trace schema, span FLOP attribution against the
-// legacy FlopCounter, SimCluster virtual-time fault timelines, and the run
-// report document.
+// canonical kernel FLOP models, SimCluster virtual-time fault timelines, and
+// the run report document.
 
 #include <gtest/gtest.h>
 
@@ -228,23 +228,30 @@ TEST(ObsTrace, DisabledSpanIsCheap) {
 TEST(ObsSpan, FlopAttributionMatchesLegacyCounterExactly) {
   auto& rec = obs::recorder();
   rec.enable(obs::detail_level::kFine);
-  FlopCounter fc;
+  const idx n = 24;
   {
     obs::Span outer("kernels", "test");
-    const idx n = 24;
     const ZMatrix a = random_matrix(n, n, 1);
     const ZMatrix b = random_matrix(n, n, 2);
     ZMatrix c(n, n);
     zgemm(Op::kNone, Op::kNone, cplx{1, 0}, a, b, cplx{}, c,
-          GemmVariant::kSplit, &fc);
-    zherk_update(a, b, c, GemmVariant::kSplit, &fc);
+          GemmVariant::kSimd);
+    zherk_update(a, b, c, GemmVariant::kSimd);
     std::vector<cplx> x(static_cast<std::size_t>(n), cplx{1.0, 0.0});
     std::vector<cplx> y(static_cast<std::size_t>(n), cplx{});
-    zgemv(Op::kNone, cplx{1, 0}, a, x, cplx{}, y, &fc);
+    zgemv(Op::kNone, cplx{1, 0}, a, x, cplx{}, y);
   }
   rec.disable();
-  ASSERT_GT(fc.total(), 0u);
-  EXPECT_EQ(rec.total_flops(), fc.total());
+  // Each kernel attributes its canonical count exactly once, to its own
+  // fine-detail span (nested inside "kernels").
+  const auto expected = static_cast<std::uint64_t>(
+      flop_model::zgemm(n, n, n) + flop_model::zherk(n, n) +
+      flop_model::zgemv(n, n));
+  EXPECT_EQ(rec.total_flops(), expected);
+  const auto agg = rec.aggregate();
+  EXPECT_EQ(agg.at("la/zgemm").flops + agg.at("la/zherk_update").flops +
+                agg.at("la/zgemv").flops,
+            expected);
 }
 
 TEST(ObsSpan, OrphanAttributionKeepsTotalsExact) {

@@ -52,10 +52,10 @@ TEST(ProgModel, Table4Orderings) {
 TEST(ProgModel, SplitGemmRooflineBasics) {
   // Huge bandwidth => compute bound at peak; tiny bandwidth => memory
   // bound with attainable = AI * BW.
-  const KernelRoofline hi = split_gemm_roofline(1e12, 1e15, 512);
+  const KernelRoofline hi = gemm_roofline(1e12, 1e15, 512);
   EXPECT_TRUE(hi.compute_bound);
   EXPECT_DOUBLE_EQ(hi.attainable_flops, 1e12);
-  const KernelRoofline lo = split_gemm_roofline(1e12, 1e9, 512);
+  const KernelRoofline lo = gemm_roofline(1e12, 1e9, 512);
   EXPECT_FALSE(lo.compute_bound);
   EXPECT_DOUBLE_EQ(lo.attainable_flops, lo.arithmetic_intensity * 1e9);
   EXPECT_GT(lo.arithmetic_intensity, 0.0);
@@ -63,11 +63,11 @@ TEST(ProgModel, SplitGemmRooflineBasics) {
   // Sharing the packed-B panel across more row panels cuts B traffic and
   // can only raise the arithmetic intensity; deeper K raises C-tile
   // round-trips but amortizes packing, so AI still grows with K here.
-  EXPECT_GE(split_gemm_roofline(1e12, 1e9, 512, 8).arithmetic_intensity,
-            split_gemm_roofline(1e12, 1e9, 512, 1).arithmetic_intensity);
-  EXPECT_GT(split_gemm_roofline(1e12, 1e9, 1024).arithmetic_intensity, 0.0);
-  EXPECT_THROW(split_gemm_roofline(0.0, 1e9, 512), Error);
-  EXPECT_THROW(split_gemm_roofline(1e12, 1e9, 512, 0), Error);
+  EXPECT_GE(gemm_roofline(1e12, 1e9, 512, 8).arithmetic_intensity,
+            gemm_roofline(1e12, 1e9, 512, 1).arithmetic_intensity);
+  EXPECT_GT(gemm_roofline(1e12, 1e9, 1024).arithmetic_intensity, 0.0);
+  EXPECT_THROW(gemm_roofline(0.0, 1e9, 512), Error);
+  EXPECT_THROW(gemm_roofline(1e12, 1e9, 512, 0), Error);
 }
 
 TEST(Workload, Eq7Eq8Flops) {
